@@ -129,7 +129,7 @@ void ApplyAdmissionEnv(net::TcpServer::Options* server_options) {
 // process-wide tracker. Thresholds must land before the tracker's first
 // use, which is why this runs at serve startup.
 void ApplySloEnv(net::TcpServer::Options* server_options) {
-  server_options->slo_tracking = EnvU64("SSE_SLO_TRACKING", 1) != 0;
+  obs::SetSloRecordingEnabled(EnvU64("SSE_SLO_TRACKING", 1) != 0);
   server_options->brownout_exit_ms = EnvU64("SSE_BROWNOUT_EXIT_MS", 1000);
   const uint64_t search_ms = EnvU64("SSE_SLO_SEARCH_MS", 0);
   const uint64_t mutation_ms = EnvU64("SSE_SLO_MUTATION_MS", 0);
@@ -143,6 +143,44 @@ void ApplySloEnv(net::TcpServer::Options* server_options) {
     std::fprintf(stderr,
                  "warning: SSE_SLO_*_MS ignored (tracker already live)\n");
   }
+}
+
+// The tail both serve paths share: serves `handler` over TCP on
+// 127.0.0.1:`port_arg` (0 = ephemeral) with the env-driven reactor,
+// admission and SLO knobs until stdin hits EOF. `serve_stats` is false for
+// a handler that answers kMsgStats itself; `what` names the served vault
+// in the banner.
+int ServeUntilEof(net::MessageHandler* handler, const char* port_arg,
+                  bool serve_stats, const std::string& what) {
+  net::TcpServer::Options server_options;
+  server_options.serialize_handler = false;
+  server_options.serve_stats = serve_stats;
+  if (const char* loops = std::getenv("SSE_REACTOR_LOOPS")) {
+    server_options.reactor_loops =
+        std::max(1ul, std::strtoul(loops, nullptr, 10));
+  }
+  ApplyAdmissionEnv(&server_options);
+  ApplySloEnv(&server_options);
+  const uint16_t port =
+      static_cast<uint16_t>(std::strtoul(port_arg, nullptr, 10));
+  auto tcp = net::TcpServer::Start(handler, port, server_options);
+  if (!tcp.ok()) {
+    std::fprintf(stderr, "serve failed: %s\n",
+                 tcp.status().ToString().c_str());
+    return 1;
+  }
+  obs::StatsLogger stats_logger;  // periodic one-line metrics digest
+  std::printf(
+      "serving %s on 127.0.0.1:%u (EOF on stdin stops)\n"
+      "reactor: %zu epoll loop(s) + %zu dispatch worker(s) = %zu serving "
+      "threads at any connection count\n",
+      what.c_str(), (*tcp)->port(), server_options.reactor_loops,
+      server_options.pipeline_workers, (*tcp)->serving_threads());
+  std::fflush(stdout);
+  while (std::fgetc(stdin) != EOF) {
+  }
+  (*tcp)->Stop();
+  return 0;
 }
 
 Bytes LoadStateBytes(const std::string& dir) {
@@ -194,6 +232,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
+  const std::string vault_label =
+      dir + " (scheme " + std::string(scheme->name) + ")";
 
   core::SystemConfig config;
   config.scheme.max_documents = 1 << 16;
@@ -266,35 +306,14 @@ int main(int argc, char** argv) {
                    node.status().ToString().c_str());
       return 1;
     }
-    const uint16_t port = static_cast<uint16_t>(
-        argc >= 4 ? std::strtoul(argv[3], nullptr, 10) : 0);
-    net::TcpServer::Options server_options;
-    server_options.serialize_handler = false;
     // The node answers kMsgStats itself (with its sse_repl_* series
     // injected); the TCP layer's own responder would shadow it.
-    server_options.serve_stats = false;
-    if (const char* loops = std::getenv("SSE_REACTOR_LOOPS")) {
-      server_options.reactor_loops =
-          std::max(1ul, std::strtoul(loops, nullptr, 10));
-    }
-    ApplyAdmissionEnv(&server_options);
-    ApplySloEnv(&server_options);
-    auto tcp = net::TcpServer::Start(node->get(), port, server_options);
-    if (!tcp.ok()) {
-      std::fprintf(stderr, "serve failed: %s\n",
-                   tcp.status().ToString().c_str());
-      return 1;
-    }
-    obs::StatsLogger stats_logger;
-    std::printf("serving %s (scheme %s) as replication %s on 127.0.0.1:%u "
-                "(%zu peer(s); EOF on stdin stops)\n",
-                dir.c_str(), std::string(scheme->name).c_str(), repl_role, (*tcp)->port(),
-                node_options.peers.size());
-    std::fflush(stdout);
-    while (std::fgetc(stdin) != EOF) {
-    }
-    (*tcp)->Stop();
-    return 0;
+    return ServeUntilEof(node->get(), argc >= 4 ? argv[3] : "0",
+                         /*serve_stats=*/false,
+                         vault_label + " as replication " + repl_role +
+                             " with " +
+                             std::to_string(node_options.peers.size()) +
+                             " peer(s)");
   }
 
   auto server = engine::ServerEngine::Create(scheme->make_adapter(config),
@@ -399,34 +418,8 @@ int main(int argc, char** argv) {
     // durable shell group-commits concurrent appends, so connections are
     // dispatched in parallel. kMsgStats is answered by the server itself —
     // scrape it with `vault_admin stats 127.0.0.1:<port>`.
-    const uint16_t port = static_cast<uint16_t>(
-        argc >= 4 ? std::strtoul(argv[3], nullptr, 10) : 0);
-    net::TcpServer::Options server_options;
-    server_options.serialize_handler = false;
-    if (const char* loops = std::getenv("SSE_REACTOR_LOOPS")) {
-      server_options.reactor_loops =
-          std::max(1ul, std::strtoul(loops, nullptr, 10));
-    }
-    ApplyAdmissionEnv(&server_options);
-    ApplySloEnv(&server_options);
-    auto tcp = net::TcpServer::Start(durable->get(), port, server_options);
-    if (!tcp.ok()) {
-      std::fprintf(stderr, "serve failed: %s\n",
-                   tcp.status().ToString().c_str());
-      return 1;
-    }
-    obs::StatsLogger stats_logger;  // periodic one-line metrics digest
-    std::printf(
-        "serving %s (scheme %s) on 127.0.0.1:%u (EOF on stdin stops)\n"
-        "reactor: %zu epoll loop(s) + %zu dispatch worker(s) = %zu serving "
-        "threads at any connection count\n",
-        dir.c_str(), std::string(scheme->name).c_str(), (*tcp)->port(),
-        server_options.reactor_loops, server_options.pipeline_workers,
-        (*tcp)->serving_threads());
-    std::fflush(stdout);
-    while (std::fgetc(stdin) != EOF) {
-    }
-    (*tcp)->Stop();
+    return ServeUntilEof(durable->get(), argc >= 4 ? argv[3] : "0",
+                         /*serve_stats=*/true, vault_label);
   } else {
     return Usage();
   }

@@ -3,7 +3,7 @@
 #   scripts/ci.sh [--skip-tsan] [--skip-asan]
 #
 # 1. Configure + build everything, run the full ctest suite (the repo's
-#    tier-1 gate from ROADMAP.md).
+#    tier-1 gate from ROADMAP.md), and build the ssebench benchmark.
 # 2. Rebuild the engine/concurrency test targets with -fsanitize=thread in
 #    a separate build dir and run only the "concurrency"/"chaos" labels.
 # 3. Rebuild the net/engine test targets with -fsanitize=address,undefined
@@ -22,6 +22,13 @@ echo "==> tier-1: build + full test suite"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "==> ssebench: build the benchmark against this tree's src/"
+# Build only: ssebench compiles ../src and uses library names directly,
+# so a change that removes or renames one of them fails here rather than
+# in a benchmark run.
+cmake -S ssebench -B build-ssebench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-ssebench -j "$(nproc)"
 
 echo "==> cluster: replication units + kill-the-primary chaos harness"
 # The `cluster` label covers the in-process replication suite (repl_test)

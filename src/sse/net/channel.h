@@ -33,8 +33,8 @@ struct ChannelStats {
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;
   std::map<uint16_t, uint64_t> calls_by_type;
-  /// Faults deliberately injected by a testing decorator (fault.h, chaos.h)
-  /// at or below this channel. Zero on real transports.
+  /// Faults deliberately injected by a testing decorator (chaos.h) at or
+  /// below this channel. Zero on real transports.
   uint64_t injected_faults = 0;
 
   void Clear() { *this = ChannelStats{}; }
@@ -61,8 +61,8 @@ struct Exchange {
 /// submissions by their (client_id, seq) session echo — so many calls can
 /// be on the wire at once. The base implementation degrades gracefully:
 /// Submit executes the call synchronously and buffers the result, which
-/// keeps every decorator (fault injection, chaos, in-process) correct
-/// without changes, just without wire-level overlap.
+/// keeps every decorator (chaos, in-process) correct without changes,
+/// just without wire-level overlap.
 ///
 /// Channels are single-caller objects: Submit/Await/Call must not race
 /// from multiple threads (use one channel per client thread, as the rest

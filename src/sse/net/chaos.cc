@@ -1,6 +1,7 @@
 #include "sse/net/chaos.h"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 namespace sse::net {
@@ -33,11 +34,19 @@ void ChaosChannel::Reset() {
 }
 
 Result<Message> ChaosChannel::Call(const Message& request) {
-  chaos_stats_.calls += 1;
+  const uint64_t index = chaos_stats_.calls++;
   stats_.rounds += 1;
   stats_.calls_by_type[request.type] += 1;
 
-  if (Roll(options_.p_delay)) {
+  std::optional<ChaosFault> scheduled;
+  if (auto node = schedule_.extract(index)) scheduled = node.mapped();
+  // A scheduled fault short-circuits its roll; with no schedule the draw
+  // sequence is exactly the seeded one.
+  auto inject = [&](ChaosFault fault, double p) {
+    return scheduled == fault || Roll(p);
+  };
+
+  if (inject(ChaosFault::kDelay, options_.p_delay)) {
     chaos_stats_.delays += 1;
     stats_.injected_faults += 1;
     const double ms =
@@ -52,20 +61,20 @@ Result<Message> ChaosChannel::Call(const Message& request) {
   }
 
   Message outbound = request;
-  if (Roll(options_.p_request_corrupt)) {
+  if (inject(ChaosFault::kRequestCorrupt, options_.p_request_corrupt)) {
     chaos_stats_.request_corruptions += 1;
     stats_.injected_faults += 1;
     CorruptPayload(outbound);
   }
   stats_.bytes_sent += outbound.WireSize();
-  if (Roll(options_.p_request_drop)) {
+  if (inject(ChaosFault::kRequestDrop, options_.p_request_drop)) {
     chaos_stats_.request_drops += 1;
     stats_.injected_faults += 1;
     return Status::IoError("chaos: request dropped");
   }
 
   Result<Message> fresh = inner_->Call(outbound);
-  if (Roll(options_.p_request_duplicate)) {
+  if (inject(ChaosFault::kRequestDuplicate, options_.p_request_duplicate)) {
     // The doubled request reaches the server as a second identical copy;
     // its reply lands behind ours in the stream.
     chaos_stats_.request_duplicates += 1;
@@ -76,12 +85,12 @@ Result<Message> ChaosChannel::Call(const Message& request) {
   if (!fresh.ok()) return fresh.status();
   stats_.bytes_received += fresh->WireSize();
 
-  if (Roll(options_.p_reply_drop)) {
+  if (inject(ChaosFault::kReplyDrop, options_.p_reply_drop)) {
     chaos_stats_.reply_drops += 1;
     stats_.injected_faults += 1;
     return Status::IoError("chaos: reply dropped (server DID process)");
   }
-  if (Roll(options_.p_reply_duplicate)) {
+  if (inject(ChaosFault::kReplyDuplicate, options_.p_reply_duplicate)) {
     chaos_stats_.reply_duplicates += 1;
     stats_.injected_faults += 1;
     stale_replies_.push_back(*fresh);
@@ -99,7 +108,7 @@ Result<Message> ChaosChannel::Call(const Message& request) {
     delivered = std::move(fresh).value();
   }
 
-  if (Roll(options_.p_reply_corrupt)) {
+  if (inject(ChaosFault::kReplyCorrupt, options_.p_reply_corrupt)) {
     chaos_stats_.reply_corruptions += 1;
     stats_.injected_faults += 1;
     CorruptPayload(delivered);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 
 #include "sse/net/channel.h"
 #include "sse/util/random.h"
@@ -28,6 +29,17 @@ struct ChaosOptions {
   double delay_max_ms = 5.0;
 };
 
+/// The fault kinds ChaosChannel injects, in the order a Call meets them.
+enum class ChaosFault {
+  kDelay,
+  kRequestCorrupt,
+  kRequestDrop,
+  kRequestDuplicate,
+  kReplyDrop,
+  kReplyDuplicate,
+  kReplyCorrupt,
+};
+
 /// Injection counters, by fault kind.
 struct ChaosStats {
   uint64_t calls = 0;
@@ -48,6 +60,8 @@ struct ChaosStats {
 
 /// Seeded probabilistic fault injector over any Channel, the adversary the
 /// exactly-once stack (RetryingChannel + core::ReplyCache) must beat.
+/// FailCall layers a deterministic schedule on top: one forced fault on an
+/// exact call, to pin a protocol's reaction to a single failure point.
 ///
 /// Faithfulness notes, per fault:
 ///  * request drop   — inner never called; the client sees IO_ERROR while
@@ -74,6 +88,14 @@ class ChaosChannel : public Channel {
  public:
   /// `inner` must outlive this wrapper.
   ChaosChannel(Channel* inner, const ChaosOptions& options);
+
+  /// Forces `fault` on the `call_index`-th Call (0-based, counting every
+  /// Call through this wrapper) on top of the probabilities; a later
+  /// FailCall for the same index replaces it. A forced fault skips its
+  /// roll, so with every probability zero only the schedule fires.
+  void FailCall(uint64_t call_index, ChaosFault fault) {
+    schedule_[call_index] = fault;
+  }
 
   Result<Message> Call(const Message& request) override;
 
@@ -106,6 +128,7 @@ class ChaosChannel : public Channel {
   ChannelStats stats_;
   ChaosStats chaos_stats_;
   std::deque<Message> stale_replies_;
+  std::map<uint64_t, ChaosFault> schedule_;
   std::function<void(double)> sleep_fn_;
 };
 

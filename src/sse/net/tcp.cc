@@ -294,8 +294,7 @@ void TcpServer::AcceptReady() {
     connections_accepted_.fetch_add(1);
 
     Connection::Options conn_opts;
-    conn_opts.max_outstanding =
-        options_.pipelined ? options_.pipeline_queue : 1;
+    conn_opts.max_outstanding = options_.pipeline_queue;
     Connection::Callbacks callbacks;
     callbacks.on_frame = [this](const std::shared_ptr<Connection>& conn,
                                 Bytes frame) {
@@ -364,7 +363,7 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   uint64_t client_id = 0;
   uint64_t seq = 0;
   const bool has_session = Message::PeekSession(frame, &client_id, &seq);
-  const bool slo_on = options_.slo_tracking && obs::SloRecordingEnabled();
+  const bool slo_on = obs::SloRecordingEnabled();
   OpClass op = OpClass::kControl;
   if (options_.admission != nullptr || options_.max_dispatch_queue > 0 ||
       slo_on) {

@@ -45,10 +45,10 @@ namespace sse::net {
 /// Options::serialize_handler=false, and concurrent connections then reach
 /// the handler in parallel.
 ///
-/// Each connection is served *pipelined* (Options::pipelined, default on):
-/// the reactor decodes frames continuously and replies are written as each
-/// completes — so a client with many in-flight submissions keeps the wire
-/// and the handler busy at the same time. Per-connection backpressure
+/// Each connection is served *pipelined*: the reactor decodes frames
+/// continuously and replies are written as each completes — so a client
+/// with many in-flight submissions keeps the wire and the handler busy at
+/// the same time. Per-connection backpressure
 /// (Options::pipeline_queue) pauses reading a connection whose reply
 /// window is full, pushing back through TCP flow control. Error replies
 /// echo the request's session stamp (when one can be recovered) so a
@@ -56,6 +56,11 @@ namespace sse::net {
 /// concurrent handler, replies to *different* requests may be written out
 /// of submission order; session-stamped clients match by (client_id, seq),
 /// and un-stamped clients should keep at most one call in flight.
+///
+/// Every served or shed frame is recorded into obs::SloTracker::Global()
+/// (availability + latency attainment per op class, scraped as the
+/// sse_slo_* gauges) unless obs::SetSloRecordingEnabled turns the
+/// process-wide gate off.
 class TcpServer {
  public:
   struct Options {
@@ -65,9 +70,6 @@ class TcpServer {
     bool serialize_handler = true;
     /// listen(2) backlog.
     int listen_backlog = 128;
-    /// Pipelined serving: many frames per connection may be in flight at
-    /// once. Off restores the one-request-at-a-time lockstep window.
-    bool pipelined = true;
     /// Threads in the server-wide dispatch pool shared by every
     /// connection (the reactor refactor replaced the old per-connection
     /// pools; the name is kept for compatibility).
@@ -102,11 +104,6 @@ class TcpServer {
     /// admitted under this bound waits at most max_dispatch_queue
     /// handler-times for its worker. 0 = unbounded (the default).
     size_t max_dispatch_queue = 0;
-    /// Record every served/shed frame into obs::SloTracker::Global()
-    /// (availability + latency attainment per op class, scraped as the
-    /// sse_slo_* gauges). Also gated process-wide by
-    /// obs::SetSloRecordingEnabled for benches that price the layer.
-    bool slo_tracking = true;
     /// Quiet time after the last shed before the server journals a
     /// brownout_exit event (obs/events.h). Entering brownout is edge
     /// triggered on the first shed.

@@ -181,8 +181,7 @@ Result<net::Message> ReplNode::Handle(const net::Message& request) {
     }
     return durable_->Handle(request);
   }
-  if (options_.serve_stale_reads && receiver_ != nullptr &&
-      !receiver_->IsMutating(request.type)) {
+  if (receiver_ != nullptr && !receiver_->IsMutating(request.type)) {
     return receiver_->HandleRead(request);
   }
   return Status::Unavailable(

@@ -54,9 +54,6 @@ class ReplNode : public net::MessageHandler {
     /// overwritten; wire replication through `peers` instead).
     core::DurableServer::Options durable;
     ReplSender::Options sender;
-    /// Answer non-mutating requests from the follower's read view.
-    /// Off = followers refuse everything with "not primary".
-    bool serve_stale_reads = true;
     /// Checkpoint cadence for the follower's local log (see
     /// ReplReceiver::Options::checkpoint_every_records).
     uint64_t follower_checkpoint_every_records = 0;

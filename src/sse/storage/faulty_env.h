@@ -13,7 +13,7 @@
 namespace sse::storage {
 
 /// Deterministic fault-injecting, fully in-memory `Env` — the disk-side
-/// counterpart of `net::FaultInjectionChannel`.
+/// counterpart of `net::ChaosChannel::FailCall`.
 ///
 /// FaultyEnv keeps two worlds per file: the *live* bytes an open handle or
 /// reader observes, and the *durable* bytes that survive a crash. A file

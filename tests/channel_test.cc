@@ -2,20 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace sse::net {
 namespace {
 
-/// Echo handler: replies with the same payload under type+1; type 99
-/// triggers a handler error.
-class EchoHandler : public MessageHandler {
- public:
-  Result<Message> Handle(const Message& request) override {
-    ++calls;
-    if (request.type == 99) return Status::Internal("handler exploded");
-    return Message{static_cast<uint16_t>(request.type + 1), request.payload};
-  }
-  int calls = 0;
-};
+using sse::testing::EchoHandler;
 
 TEST(ChannelTest, CallDeliversAndCounts) {
   EchoHandler handler;
@@ -25,7 +17,7 @@ TEST(ChannelTest, CallDeliversAndCounts) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->type, 6);
   EXPECT_EQ(reply->payload, request.payload);
-  EXPECT_EQ(handler.calls, 1);
+  EXPECT_EQ(handler.calls.load(), 1);
 
   const ChannelStats& stats = channel.stats();
   EXPECT_EQ(stats.rounds, 1u);

@@ -43,6 +43,7 @@ using net::ChaosChannel;
 using net::ChaosOptions;
 using net::RetryingChannel;
 using net::RetryOptions;
+using sse::testing::EchoHandler;
 using sse::testing::FastTestConfig;
 using sse::testing::TempDir;
 using sse::testing::TestMasterKey;
@@ -586,6 +587,33 @@ TEST(ChaosTest, ConcurrentClientsOverTcpUnderChaos) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(divergences[static_cast<size_t>(t)], 0u) << "thread " << t;
   }
+}
+
+TEST(ChaosTest, SeededDrawOrderIsPinned) {
+  // Every chaos soak replays from its seed only while ChaosChannel draws
+  // its random numbers in the same order. These counts fingerprint that
+  // order; a roll site that moves, or draws when it should not, changes
+  // them.
+  EchoHandler echo;
+  net::InProcessChannel inner(&echo);
+  ChaosChannel chaos(&inner, SymmetricChaos(/*seed=*/2024, 0.20));
+  chaos.set_sleep_fn([](double) {});
+  uint64_t failed = 0;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    const net::Message request{5, Bytes(8, static_cast<uint8_t>(i))};
+    if (!chaos.Call(request).ok()) ++failed;
+  }
+  const net::ChaosStats& s = chaos.chaos_stats();
+  EXPECT_EQ(s.calls, 1000u);
+  EXPECT_EQ(s.delays, 216u);
+  EXPECT_EQ(s.request_corruptions, 96u);
+  EXPECT_EQ(s.request_drops, 224u);
+  EXPECT_EQ(s.request_duplicates, 68u);
+  EXPECT_EQ(s.reply_drops, 169u);
+  EXPECT_EQ(s.reply_duplicates, 53u);
+  EXPECT_EQ(s.reply_corruptions, 69u);
+  EXPECT_EQ(s.stale_served, 601u);
+  EXPECT_EQ(failed, 393u);
 }
 
 }  // namespace

@@ -15,9 +15,12 @@
 
 #include "sse/net/tcp.h"
 #include "sse/obs/metrics_registry.h"
+#include "test_util.h"
 
 namespace sse::net {
 namespace {
+
+using sse::testing::EchoHandler;
 
 #if defined(__SANITIZE_THREAD__)
 constexpr bool kUnderTsan = true;
@@ -30,13 +33,6 @@ constexpr bool kUnderTsan = false;
 #else
 constexpr bool kUnderTsan = false;
 #endif
-
-class EchoHandler : public MessageHandler {
- public:
-  Result<Message> Handle(const Message& request) override {
-    return Message{static_cast<uint16_t>(request.type + 1), request.payload};
-  }
-};
 
 /// Live thread count of this process, from the kernel's view.
 size_t ThreadCount() {

@@ -19,16 +19,9 @@
 namespace sse::net {
 namespace {
 
+using sse::testing::EchoHandler;
 using sse::testing::FastTestConfig;
 using sse::testing::TestMasterKey;
-
-class EchoHandler : public MessageHandler {
- public:
-  Result<Message> Handle(const Message& request) override {
-    if (request.type == 99) return Status::Internal("boom");
-    return Message{static_cast<uint16_t>(request.type + 1), request.payload};
-  }
-};
 
 TEST(TcpTest, RoundTripOverRealSockets) {
   EchoHandler handler;

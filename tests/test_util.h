@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "sse/core/registry.h"
 #include "sse/crypto/keys.h"
+#include "sse/net/channel.h"
 #include "sse/util/random.h"
 #include "sse/util/status.h"
 
@@ -67,6 +69,19 @@ inline core::SseSystem MakeTestSystem(core::SystemKind kind,
                                       RandomSource* rng) {
   return MakeTestSystem(kind, rng, FastTestConfig());
 }
+
+/// Echo server: replies with the request's payload under type+1; type 99
+/// fails with INTERNAL. Counts calls, from any number of server threads.
+class EchoHandler : public net::MessageHandler {
+ public:
+  Result<net::Message> Handle(const net::Message& request) override {
+    calls.fetch_add(1);
+    if (request.type == 99) return Status::Internal("handler exploded");
+    return net::Message{static_cast<uint16_t>(request.type + 1),
+                        request.payload};
+  }
+  std::atomic<int> calls{0};
+};
 
 /// Creates a fresh temp directory and removes it (recursively) at scope
 /// exit.
