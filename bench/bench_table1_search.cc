@@ -334,7 +334,7 @@ void SweepLatencyProfile(const char* json_path,
       return sum / static_cast<double>(keep) / 1000.0;
     }
   };
-  Mode modes[] = {{"trace_off"}, {"trace_on"}};
+  Mode modes[] = {{"trace_off", {}, {}, {}}, {"trace_on", {}, {}, {}}};
   const int warmup = 64;
   const int probes = 1024;
   DeterministicRandom probe_rng(8);
@@ -390,7 +390,7 @@ void SweepLatencyProfile(const char* json_path,
                                "slo tcp connect");
   auto* s1_client = static_cast<core::Scheme1Client*>(sys.client.get());
   s1_client->set_channel(slo_channel.get());
-  Mode slo_modes[] = {{"slo_off"}, {"slo_on"}};
+  Mode slo_modes[] = {{"slo_off", {}, {}, {}}, {"slo_on", {}, {}, {}}};
   auto slo_probe_once = [&](bool slo_on, const std::string& kw) -> uint64_t {
     obs::SetSloRecordingEnabled(slo_on);
     Timer timer;

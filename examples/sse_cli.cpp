@@ -333,6 +333,15 @@ int main(int argc, char** argv) {
                  durable.status().ToString().c_str());
     return 1;
   }
+  if (command == "serve") {
+    // Expose the durable vault over TCP. The engine is thread-safe and the
+    // durable shell group-commits concurrent appends, so connections are
+    // dispatched in parallel. kMsgStats is answered by the server itself —
+    // scrape it with `vault_admin stats 127.0.0.1:<port>`. Serving needs no
+    // key and no client: a corrupt client.state must not stop the server.
+    return ServeUntilEof(durable->get(), argc >= 4 ? argv[3] : "0",
+                         /*serve_stats=*/true, vault_label);
+  }
   net::InProcessChannel channel(durable->get());
 
   // Exactly-once calls: session-stamped, retried with backoff, deduped by
@@ -413,13 +422,6 @@ int main(int argc, char** argv) {
                     (*server)->stored_index_bytes()),
                 (*server)->num_shards());
     std::printf("%s", (*server)->Metrics().ToString().c_str());
-  } else if (command == "serve") {
-    // Expose the durable vault over TCP. The engine is thread-safe and the
-    // durable shell group-commits concurrent appends, so connections are
-    // dispatched in parallel. kMsgStats is answered by the server itself —
-    // scrape it with `vault_admin stats 127.0.0.1:<port>`.
-    return ServeUntilEof(durable->get(), argc >= 4 ? argv[3] : "0",
-                         /*serve_stats=*/true, vault_label);
   } else {
     return Usage();
   }

@@ -19,7 +19,8 @@ for arg in "$@"; do
 done
 
 echo "==> tier-1: build + full test suite"
-cmake -B build -S . >/dev/null
+# -Werror like the workflow's build, so a warning fails here first.
+cmake -B build -S . -DSSE_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
@@ -76,7 +77,7 @@ else
              obs_trace_test obs_metrics_test obs_stats_rpc_test \
              obs_slo_test obs_events_test \
              reactor_test net_scale_test repl_test scheme3_test \
-             overload_test
+             overload_test crypto_concurrency_test
   # repl_test (not the multi-process cluster harness — TSan doesn't see
   # across fork/exec) exercises the sender's shipping threads, the node's
   # role lock and the failover router under the race detector. scheme3_test
@@ -84,6 +85,8 @@ else
   # server's relaxed stat counters from multiple shards.
   # overload_test rides in the TSan pass too: the shed path races the
   # reactor loops against the dispatch pool and the admission EWMA.
+  # crypto_concurrency_test runs the per-thread OpenSSL contexts of the
+  # chain and segment crypto from several threads.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan \
     -L "concurrency|chaos|obs|net|cluster|scheme3|overload" \
@@ -101,7 +104,7 @@ else
   cmake --build build-asan -j "$(nproc)" \
     --target engine_concurrency_test tcp_test chaos_test batch_test \
              crash_recovery_test env_test reactor_test net_scale_test \
-             scheme3_test overload_test
+             scheme3_test overload_test crypto_concurrency_test
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan -L "concurrency|chaos|net|scheme3|overload" \
     --output-on-failure

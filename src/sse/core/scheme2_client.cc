@@ -72,11 +72,7 @@ Result<Bytes> Scheme2Client::ChainKeyAt(BytesView token, uint32_t epoch,
     const ChainMemo& memo = it->second;
     if (memo.ctr == ctr) return memo.element;
     if (ctr < memo.ctr) {
-      Bytes element = memo.element;
-      for (uint32_t c = memo.ctr; c > ctr; --c) {
-        SSE_ASSIGN_OR_RETURN(element, crypto::HashChain::Step(element));
-      }
-      return element;
+      return crypto::HashChain::StepN(memo.element, memo.ctr - ctr);
     }
     // ctr > memo.ctr: deeper toward the seed; fall through to recompute
     // (and refresh the memo, since counters only grow over time).

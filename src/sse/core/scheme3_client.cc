@@ -70,11 +70,8 @@ Result<Bytes> Scheme3Client::ChainKeyAt(KeywordState& state,
   if (state.memo_ctr != 0) {
     if (state.memo_ctr == ctr) return state.memo_element;
     if (ctr < state.memo_ctr) {
-      Bytes element = state.memo_element;
-      for (uint32_t c = state.memo_ctr; c > ctr; --c) {
-        SSE_ASSIGN_OR_RETURN(element, crypto::HashChain::Step(element));
-      }
-      return element;
+      return crypto::HashChain::StepN(state.memo_element,
+                                      state.memo_ctr - ctr);
     }
   }
   BufferWriter w;

@@ -21,7 +21,8 @@ namespace sse::crypto {
 ///
 /// Instantiations: f = SHA-256("sse.chain.step" ‖ ·) and the public tag
 /// function f' = SHA-256("sse.chain.tag" ‖ ·) used to recognize a chain
-/// element without revealing it.
+/// element without revealing it. Both hash from a per-thread SHA-256
+/// midstate of their label, so a step costs one compression.
 class HashChain {
  public:
   /// Creates a chain over `seed` with `length` usable elements
@@ -30,6 +31,9 @@ class HashChain {
 
   /// One application of the chain step function f.
   static Result<Bytes> Step(BytesView element);
+
+  /// `n` applications of f, computed in place over one buffer: f^n(element).
+  static Result<Bytes> StepN(BytesView element, uint32_t n);
 
   /// The public tag f'(element).
   static Result<Bytes> Tag(BytesView element);

@@ -1,42 +1,86 @@
 #include "sse/crypto/hkdf.h"
 
-#include "sse/crypto/prf.h"
+#include <algorithm>
+#include <array>
+#include <cstring>
+
+#include "sse/crypto/evp_cache.h"
 
 namespace sse::crypto {
 
 namespace {
+
 constexpr size_t kHashLen = 32;
-}
 
-Result<Bytes> HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
-                         size_t out_len) {
-  // Extract: PRK = HMAC(salt, IKM). RFC 5869 uses a zero-filled salt when
-  // none is provided.
-  Bytes effective_salt =
-      salt.empty() ? Bytes(kHashLen, 0) : ToBytes(salt);
-  Bytes prk;
-  SSE_ASSIGN_OR_RETURN(prk, HmacSha256(effective_salt, ikm));
-  return HkdfExpand(prk, info, out_len);
-}
+// RFC 5869's default salt is HashLen zero bytes. This thread keys an HMAC
+// context with it once; each Extract rewinds to that key schedule.
+struct ZeroSaltHmac {
+  evp::Hmac hmac;
+  Status keyed = hmac.SetKey(std::array<uint8_t, kHashLen>{});
+};
 
-Result<Bytes> HkdfExpand(BytesView prk, std::string_view info, size_t out_len) {
+Status CheckOutputLength(size_t out_len) {
   if (out_len == 0) return Status::InvalidArgument("HKDF output length is zero");
   if (out_len > 255 * kHashLen) {
     return Status::InvalidArgument("HKDF output length exceeds 255*32 bytes");
   }
-  Bytes out;
-  out.reserve(out_len);
-  Bytes t;  // T(0) = empty
-  uint8_t counter = 1;
-  while (out.size() < out_len) {
-    Bytes block = t;
-    block.insert(block.end(), reinterpret_cast<const uint8_t*>(info.data()),
-                 reinterpret_cast<const uint8_t*>(info.data()) + info.size());
-    block.push_back(counter++);
-    SSE_ASSIGN_OR_RETURN(t, HmacSha256(prk, block));
-    const size_t take = std::min(kHashLen, out_len - out.size());
-    out.insert(out.end(), t.begin(), t.begin() + take);
+  return Status::OK();
+}
+
+Status ExpandInto(BytesView prk, std::string_view info, std::span<uint8_t> out) {
+  SSE_RETURN_IF_ERROR(CheckOutputLength(out.size()));
+  // T(i) = HMAC(PRK, T(i-1) || info || i), all under one key schedule.
+  evp::Hmac& hmac = evp::ThreadHmac();
+  SSE_RETURN_IF_ERROR(hmac.SetKey(prk));
+  std::array<uint8_t, kHashLen> t;
+  size_t done = 0;
+  for (uint8_t counter = 1; done < out.size(); ++counter) {
+    if (counter > 1) {
+      SSE_RETURN_IF_ERROR(hmac.Restart());
+      SSE_RETURN_IF_ERROR(hmac.Update(t));
+    }
+    SSE_RETURN_IF_ERROR(hmac.Update(AsBytes(info)));
+    SSE_RETURN_IF_ERROR(hmac.Update(BytesView(&counter, 1)));
+    SSE_RETURN_IF_ERROR(hmac.Final(t.data()));
+    const size_t take = std::min(kHashLen, out.size() - done);
+    std::memcpy(out.data() + done, t.data(), take);
+    done += take;
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
+                  std::span<uint8_t> out) {
+  // Extract: PRK = HMAC(salt, IKM).
+  std::array<uint8_t, kHashLen> prk;
+  evp::Hmac* extract = &evp::ThreadHmac();
+  if (salt.empty()) {
+    thread_local ZeroSaltHmac zero_salt;
+    SSE_RETURN_IF_ERROR(zero_salt.keyed);
+    extract = &zero_salt.hmac;
+    SSE_RETURN_IF_ERROR(extract->Restart());
+  } else {
+    SSE_RETURN_IF_ERROR(extract->SetKey(salt));
+  }
+  SSE_RETURN_IF_ERROR(extract->Update(ikm));
+  SSE_RETURN_IF_ERROR(extract->Final(prk.data()));
+  return ExpandInto(prk, info, out);
+}
+
+Result<Bytes> HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
+                         size_t out_len) {
+  SSE_RETURN_IF_ERROR(CheckOutputLength(out_len));
+  Bytes out(out_len);
+  SSE_RETURN_IF_ERROR(HkdfSha256(ikm, salt, info, std::span<uint8_t>(out)));
+  return out;
+}
+
+Result<Bytes> HkdfExpand(BytesView prk, std::string_view info, size_t out_len) {
+  SSE_RETURN_IF_ERROR(CheckOutputLength(out_len));
+  Bytes out(out_len);
+  SSE_RETURN_IF_ERROR(ExpandInto(prk, info, out));
   return out;
 }
 

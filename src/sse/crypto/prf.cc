@@ -1,23 +1,32 @@
 #include "sse/crypto/prf.h"
 
-#include <openssl/hmac.h>
+#include <initializer_list>
 
+#include "sse/crypto/evp_cache.h"
 #include "sse/obs/metrics_registry.h"
 
 namespace sse::crypto {
 
-Result<Bytes> HmacSha256(BytesView key, BytesView data) {
+namespace {
+
+// HMAC(key, parts[0] || parts[1] || ...) through this thread's reused
+// context: no allocation besides the output, no per-call algorithm fetch.
+Result<Bytes> HmacParts(BytesView key, std::initializer_list<BytesView> parts) {
   // One relaxed load when timing is off (the default) — the gate keeps
   // per-op instrumentation out of the search hot path's budget.
   obs::ScopedCryptoTimer timer(obs::CryptoTimers::Global().prf);
+  evp::Hmac& hmac = evp::ThreadHmac();
+  SSE_RETURN_IF_ERROR(hmac.SetKey(key));
+  for (BytesView part : parts) SSE_RETURN_IF_ERROR(hmac.Update(part));
   Bytes out(kPrfOutputSize);
-  unsigned int len = 0;
-  if (HMAC(EVP_sha256(), key.data(), static_cast<int>(key.size()), data.data(),
-           data.size(), out.data(), &len) == nullptr ||
-      len != kPrfOutputSize) {
-    return Status::CryptoError("HMAC-SHA256 failed");
-  }
+  SSE_RETURN_IF_ERROR(hmac.Final(out.data()));
   return out;
+}
+
+}  // namespace
+
+Result<Bytes> HmacSha256(BytesView key, BytesView data) {
+  return HmacParts(key, {data});
 }
 
 Result<Prf> Prf::Create(BytesView key) {
@@ -30,14 +39,12 @@ Result<Prf> Prf::Create(BytesView key) {
 Result<Bytes> Prf::Eval(BytesView input) const { return HmacSha256(key_, input); }
 
 Result<Bytes> Prf::Eval(std::string_view input) const {
-  return Eval(StringToBytes(input));
+  return Eval(AsBytes(input));
 }
 
 Result<Bytes> Prf::EvalLabeled(std::string_view label, BytesView input) const {
-  Bytes msg = StringToBytes(label);
-  msg.push_back(0x00);
-  msg.insert(msg.end(), input.begin(), input.end());
-  return HmacSha256(key_, msg);
+  static const uint8_t kSeparator = 0x00;
+  return HmacParts(key_, {AsBytes(label), BytesView(&kSeparator, 1), input});
 }
 
 }  // namespace sse::crypto

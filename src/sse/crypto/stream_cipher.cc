@@ -1,32 +1,18 @@
 #include "sse/crypto/stream_cipher.h"
 
-#include <openssl/evp.h>
-
+#include "sse/crypto/evp_cache.h"
 #include "sse/crypto/hkdf.h"
-#include "sse/crypto/prf.h"
 
 namespace sse::crypto {
 
 namespace {
 
-Result<Bytes> AesCtr(BytesView key, BytesView iv, BytesView input) {
-  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
-  if (ctx == nullptr) return Status::CryptoError("EVP_CIPHER_CTX_new failed");
-  Bytes out(input.size());
-  int len = 0;
-  Status status = Status::OK();
-  if (EVP_EncryptInit_ex(ctx, EVP_aes_256_ctr(), nullptr, key.data(),
-                         iv.data()) != 1) {
-    status = Status::CryptoError("CTR init failed");
-  } else if (!input.empty() &&
-             (EVP_EncryptUpdate(ctx, out.data(), &len, input.data(),
-                                static_cast<int>(input.size())) != 1 ||
-              static_cast<size_t>(len) != input.size())) {
-    status = Status::CryptoError("CTR update failed");
-  }
-  EVP_CIPHER_CTX_free(ctx);
-  if (!status.ok()) return status;
-  return out;
+// tag = HMAC(mac_key, iv || ct), into `out` (kStreamTagSize bytes).
+Status MacInto(BytesView mac_key, BytesView body, uint8_t* out) {
+  evp::Hmac& hmac = evp::ThreadHmac();
+  SSE_RETURN_IF_ERROR(hmac.SetKey(mac_key));
+  SSE_RETURN_IF_ERROR(hmac.Update(body));
+  return hmac.Final(out);
 }
 
 }  // namespace
@@ -35,24 +21,25 @@ Result<StreamCipher> StreamCipher::Create(BytesView key) {
   if (key.size() < 16) {
     return Status::InvalidArgument("StreamCipher key must be >= 16 bytes");
   }
-  Bytes material;
-  SSE_ASSIGN_OR_RETURN(material, HkdfSha256(key, /*salt=*/{},
-                                            "sse.stream_cipher.v1", 64));
-  Bytes enc_key(material.begin(), material.begin() + 32);
-  Bytes mac_key(material.begin() + 32, material.end());
-  return StreamCipher(std::move(enc_key), std::move(mac_key));
+  StreamCipher cipher;
+  SSE_RETURN_IF_ERROR(HkdfSha256(key, /*salt=*/{}, "sse.stream_cipher.v1",
+                                 std::span<uint8_t>(cipher.subkeys_)));
+  return cipher;
 }
 
 Result<Bytes> StreamCipher::Encrypt(BytesView plaintext,
                                     RandomSource& rng) const {
-  Bytes iv(kStreamIvSize);
-  SSE_RETURN_IF_ERROR(rng.Fill(iv));
-  Bytes ct;
-  SSE_ASSIGN_OR_RETURN(ct, AesCtr(enc_key_, iv, plaintext));
-  Bytes out = Concat(iv, ct);
-  Bytes tag;
-  SSE_ASSIGN_OR_RETURN(tag, HmacSha256(mac_key_, out));
-  out.insert(out.end(), tag.begin(), tag.end());
+  // Layout iv(16) || ct || tag(32), built in the one output buffer.
+  Bytes out;
+  out.reserve(plaintext.size() + kStreamOverhead);
+  out.resize(kStreamIvSize);
+  SSE_RETURN_IF_ERROR(rng.Fill(out));
+  out.resize(plaintext.size() + kStreamOverhead);
+  SSE_RETURN_IF_ERROR(evp::AesCtr(enc_key(), out.data(), plaintext,
+                                  out.data() + kStreamIvSize));
+  const size_t body_len = kStreamIvSize + plaintext.size();
+  SSE_RETURN_IF_ERROR(MacInto(mac_key(), BytesView(out).subspan(0, body_len),
+                              out.data() + body_len));
   return out;
 }
 
@@ -63,14 +50,16 @@ Result<Bytes> StreamCipher::Decrypt(BytesView ciphertext) const {
   const size_t body_len = ciphertext.size() - kStreamTagSize;
   BytesView body = ciphertext.subspan(0, body_len);
   BytesView tag = ciphertext.subspan(body_len);
-  Bytes expected;
-  SSE_ASSIGN_OR_RETURN(expected, HmacSha256(mac_key_, body));
+  std::array<uint8_t, kStreamTagSize> expected;
+  SSE_RETURN_IF_ERROR(MacInto(mac_key(), body, expected.data()));
   if (!ConstantTimeEqual(expected, tag)) {
     return Status::CryptoError("stream cipher MAC mismatch");
   }
-  BytesView iv = body.subspan(0, kStreamIvSize);
   BytesView ct = body.subspan(kStreamIvSize);
-  return AesCtr(enc_key_, iv, ct);
+  Bytes out(ct.size());
+  SSE_RETURN_IF_ERROR(
+      evp::AesCtr(enc_key(), body.data(), ct, out.data()));
+  return out;
 }
 
 }  // namespace sse::crypto

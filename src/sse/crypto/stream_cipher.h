@@ -1,7 +1,9 @@
 #ifndef SSE_CRYPTO_STREAM_CIPHER_H_
 #define SSE_CRYPTO_STREAM_CIPHER_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "sse/util/bytes.h"
 #include "sse/util/random.h"
@@ -25,6 +27,8 @@ inline constexpr size_t kStreamOverhead = kStreamIvSize + kStreamTagSize;
 /// segment is detected rather than silently yielding garbage identifiers.
 ///
 /// Layout: iv(16) || ct(|pt|) || tag(32), tag = HMAC(mac_key, iv || ct).
+/// The subkeys live inline; Create, Encrypt and Decrypt run on per-thread
+/// OpenSSL contexts and allocate only their result.
 class StreamCipher {
  public:
   /// `key` may be any length >= 16; subkeys are derived internally.
@@ -34,10 +38,16 @@ class StreamCipher {
   Result<Bytes> Decrypt(BytesView ciphertext) const;
 
  private:
-  StreamCipher(Bytes enc_key, Bytes mac_key)
-      : enc_key_(std::move(enc_key)), mac_key_(std::move(mac_key)) {}
-  Bytes enc_key_;
-  Bytes mac_key_;
+  static constexpr size_t kSubkeySize = 32;
+
+  StreamCipher() = default;
+  const uint8_t* enc_key() const { return subkeys_.data(); }
+  BytesView mac_key() const {
+    return BytesView(subkeys_).subspan(kSubkeySize);
+  }
+
+  // HKDF(key, zero salt, "sse.stream_cipher.v1", 64) = enc_key || mac_key.
+  std::array<uint8_t, 2 * kSubkeySize> subkeys_{};
 };
 
 }  // namespace sse::crypto

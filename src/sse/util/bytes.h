@@ -24,6 +24,11 @@ Bytes ToBytes(BytesView view);
 /// Reinterprets a string's contents as bytes (UTF-8 or binary passthrough).
 Bytes StringToBytes(std::string_view s);
 
+/// Views a string's contents as bytes without copying.
+inline BytesView AsBytes(std::string_view s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
 /// Reinterprets bytes as a std::string container (may contain NUL bytes).
 std::string BytesToString(BytesView b);
 

@@ -5,6 +5,8 @@
 #include <set>
 #include <string>
 
+#include "crypto_golden.h"
+
 namespace sse::crypto {
 namespace {
 
@@ -123,6 +125,43 @@ TEST(HashChainTest, DifferentSeedsGiveDisjointChains) {
   for (uint32_t i = 0; i < 16; ++i) {
     EXPECT_NE(*a->ElementAt(i), *b->ElementAt(i));
   }
+}
+
+TEST(HashChainTest, StepNMatchesIteratedStep) {
+  // Zero steps is the identity; a short (16-byte) seed is accepted too.
+  for (const Bytes& start : {Seed(), Bytes(16, 0x11)}) {
+    EXPECT_EQ(*HashChain::StepN(start, 0), start);
+    Bytes manual = start;
+    for (uint32_t n = 1; n <= 5; ++n) {
+      manual = *HashChain::Step(manual);
+      EXPECT_EQ(*HashChain::StepN(start, n), manual) << "n=" << n;
+    }
+  }
+}
+
+TEST(HashChainTest, GoldenStepAndTag) {
+  EXPECT_EQ(HexEncode(*HashChain::Step(golden::StepInput())), golden::kStepHex);
+  EXPECT_EQ(HexEncode(*HashChain::Tag(golden::StepInput())), golden::kTagHex);
+}
+
+TEST(HashChainTest, GoldenDeepestElement) {
+  auto chain = HashChain::Create(golden::ChainSeed(), golden::kChainLength);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(HexEncode(*chain->ElementAt(golden::kChainLength - 1)),
+            golden::kElement4095Hex);
+  EXPECT_EQ(HexEncode(*chain->KeyForCounter(1)), golden::kElement4095Hex);
+}
+
+TEST(HashChainTest, GoldenWalkForwardToTag) {
+  auto chain = HashChain::Create(golden::ChainSeed(), golden::kChainLength);
+  ASSERT_TRUE(chain.ok());
+  Bytes start = *chain->KeyForCounter(golden::kWalkStartCounter);
+  Bytes target_tag = *HashChain::Tag(*HexDecode(golden::kElement4095Hex));
+  auto walk =
+      HashChain::WalkForwardToTag(start, target_tag, golden::kChainLength);
+  ASSERT_TRUE(walk.ok());
+  EXPECT_EQ(HexEncode(walk->element), golden::kElement4095Hex);
+  EXPECT_EQ(walk->steps, golden::kWalkSteps);
 }
 
 }  // namespace

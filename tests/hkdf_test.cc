@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto_golden.h"
+#include "sse/crypto/prf.h"
+
 namespace sse::crypto {
 namespace {
 
@@ -56,6 +59,21 @@ TEST(HkdfTest, RejectsInvalidLengths) {
   EXPECT_FALSE(HkdfSha256(ikm, {}, "x", 0).ok());
   EXPECT_FALSE(HkdfSha256(ikm, {}, "x", 255 * 32 + 1).ok());
   EXPECT_TRUE(HkdfSha256(ikm, {}, "x", 255 * 32).ok());
+}
+
+TEST(HkdfTest, GoldenStreamCipherSubkeys) {
+  // The 64 bytes StreamCipher::Create splits into (enc_key, mac_key).
+  auto okm = HkdfSha256(golden::CipherKey(), /*salt=*/{},
+                        golden::kCipherHkdfInfo, 64);
+  ASSERT_TRUE(okm.ok());
+  EXPECT_EQ(HexEncode(*okm), golden::kCipherHkdfHex);
+}
+
+TEST(HkdfTest, HmacRfc4231Case2) {
+  auto mac = HmacSha256(StringToBytes("Jefe"),
+                        StringToBytes("what do ya want for nothing?"));
+  ASSERT_TRUE(mac.ok());
+  EXPECT_EQ(HexEncode(*mac), golden::kHmacCase2Hex);
 }
 
 }  // namespace

@@ -118,7 +118,9 @@ TEST(EventJournalTest, ConcurrentEmittersGetUniqueDenseSeqs) {
   std::set<uint64_t> seqs;
   for (size_t i = 0; i < tail.size(); ++i) {
     seqs.insert(tail[i].seq);
-    if (i > 0) EXPECT_LT(tail[i - 1].seq, tail[i].seq);  // oldest first
+    if (i > 0) {
+      EXPECT_LT(tail[i - 1].seq, tail[i].seq);  // oldest first
+    }
   }
   // Dense: exactly 1..N with no gaps or duplicates.
   EXPECT_EQ(seqs.size(), tail.size());

@@ -20,6 +20,16 @@ TEST(PrfTest, HmacKnownVector) {
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
+TEST(PrfTest, HmacRfc4231Case6LongKey) {
+  // A key longer than the SHA-256 block is hashed first (RFC 2104).
+  auto mac = HmacSha256(
+      Bytes(131, 0xaa),
+      StringToBytes("Test Using Larger Than Block-Size Key - Hash Key First"));
+  ASSERT_TRUE(mac.ok());
+  EXPECT_EQ(HexEncode(*mac),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
 TEST(PrfTest, CreateRejectsShortKeys) {
   EXPECT_FALSE(Prf::Create(Bytes(15, 1)).ok());
   EXPECT_TRUE(Prf::Create(Bytes(16, 1)).ok());
@@ -79,6 +89,9 @@ TEST(PrfTest, LabeledEvalNotConfusableByConcat) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE(*a, *b);
+  // The labeled input is exactly label || 0x00 || input.
+  const Bytes framed = {'a', 0x00, 'b', 'c'};
+  EXPECT_EQ(*b, *prf->Eval(framed));
 }
 
 TEST(PrfTest, StringAndBytesOverloadsAgree) {

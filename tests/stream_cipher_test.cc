@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto_golden.h"
 #include "sse/util/random.h"
 
 namespace sse::crypto {
@@ -90,6 +91,21 @@ TEST(StreamCipherTest, DistinctKeysFromChainElements) {
   auto ct = c1->Encrypt(StringToBytes("segment"), rng);
   ASSERT_TRUE(ct.ok());
   EXPECT_FALSE(c2->Decrypt(*ct).ok());
+}
+
+TEST(StreamCipherTest, GoldenCiphertextLayout) {
+  // Encrypt under a fixed IV source reproduces the pinned bytes, and the
+  // committed ciphertext decrypts: segments already in a WAL, snapshot or
+  // replica stay readable.
+  auto cipher = StreamCipher::Create(golden::CipherKey());
+  ASSERT_TRUE(cipher.ok());
+  DeterministicRandom rng(golden::kCiphertextRngSeed);
+  auto ct = cipher->Encrypt(StringToBytes(golden::kPlaintext), rng);
+  ASSERT_TRUE(ct.ok());
+  EXPECT_EQ(HexEncode(*ct), golden::kCiphertextHex);
+  auto pt = cipher->Decrypt(*HexDecode(golden::kCiphertextHex));
+  ASSERT_TRUE(pt.ok());
+  EXPECT_EQ(BytesToString(*pt), golden::kPlaintext);
 }
 
 }  // namespace
