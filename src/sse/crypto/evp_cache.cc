@@ -4,6 +4,7 @@
 #include <openssl/params.h>
 
 #include "sse/crypto/sha256.h"
+#include "sse/obs/metrics_registry.h"
 
 namespace sse::crypto::evp {
 
@@ -14,13 +15,8 @@ struct CipherCtxFree {
 };
 using CipherCtx = std::unique_ptr<EVP_CIPHER_CTX, CipherCtxFree>;
 
-// SHA-256 and AES-256-CTR, fetched on first use and kept for the process.
-// Null if the provider has no such algorithm (every call then fails).
-const EVP_MD* Sha256() {
-  static EVP_MD* const md = EVP_MD_fetch(nullptr, "SHA256", nullptr);
-  return md;
-}
-
+// AES-256-CTR, fetched on first use and kept for the process. Null if the
+// provider has no such algorithm (every call then fails).
 const EVP_CIPHER* Aes256Ctr() {
   static EVP_CIPHER* const cipher =
       EVP_CIPHER_fetch(nullptr, "AES-256-CTR", nullptr);
@@ -48,10 +44,15 @@ EVP_CIPHER_CTX* ThreadCipherCtx() {
 
 }  // namespace
 
+const EVP_MD* FetchedSha256() {
+  static EVP_MD* const md = EVP_MD_fetch(nullptr, "SHA256", nullptr);
+  return md;
+}
+
 MdCtx NewMidstate(BytesView prefix) {
   MdCtx ctx(EVP_MD_CTX_new());
-  if (ctx == nullptr || Sha256() == nullptr ||
-      EVP_DigestInit_ex2(ctx.get(), Sha256(), nullptr) != 1 ||
+  if (ctx == nullptr || FetchedSha256() == nullptr ||
+      EVP_DigestInit_ex2(ctx.get(), FetchedSha256(), nullptr) != 1 ||
       EVP_DigestUpdate(ctx.get(), prefix.data(), prefix.size()) != 1) {
     return nullptr;
   }
@@ -73,8 +74,8 @@ Status DigestFrom(const EVP_MD_CTX* midstate, BytesView data, uint8_t* out) {
 Status Digest(BytesView a, BytesView b, uint8_t* out) {
   EVP_MD_CTX* work = ThreadWorkCtx();
   unsigned int len = 0;
-  if (work == nullptr || Sha256() == nullptr ||
-      EVP_DigestInit_ex2(work, Sha256(), nullptr) != 1 ||
+  if (work == nullptr || FetchedSha256() == nullptr ||
+      EVP_DigestInit_ex2(work, FetchedSha256(), nullptr) != 1 ||
       EVP_DigestUpdate(work, a.data(), a.size()) != 1 ||
       EVP_DigestUpdate(work, b.data(), b.size()) != 1 ||
       EVP_DigestFinal_ex(work, out, &len) != 1 || len != kSha256DigestSize) {
@@ -110,24 +111,24 @@ Status Hmac::SetKey(BytesView key) {
   return Status::OK();
 }
 
-Status Hmac::Restart() {
-  if (ctx_ == nullptr || EVP_MAC_init(ctx_, nullptr, 0, nullptr) != 1) {
+Status Hmac::Mac(std::optional<BytesView> key,
+                 std::initializer_list<BytesView> parts, uint8_t* out) {
+  // One relaxed load when timing is off (the default) — the gate keeps
+  // per-op instrumentation out of the search hot path's budget.
+  obs::ScopedCryptoTimer timer(obs::CryptoTimers::Global().prf);
+  if (key.has_value()) {
+    SSE_RETURN_IF_ERROR(SetKey(*key));
+  } else if (ctx_ == nullptr ||
+             EVP_MAC_init(ctx_, nullptr, 0, nullptr) != 1) {
     return Status::CryptoError("HMAC-SHA256 restart failed");
   }
-  return Status::OK();
-}
-
-Status Hmac::Update(BytesView data) {
-  if (ctx_ == nullptr || EVP_MAC_update(ctx_, data.data(), data.size()) != 1) {
-    return Status::CryptoError("HMAC-SHA256 update failed");
+  for (BytesView part : parts) {
+    if (EVP_MAC_update(ctx_, part.data(), part.size()) != 1) {
+      return Status::CryptoError("HMAC-SHA256 update failed");
+    }
   }
-  return Status::OK();
-}
-
-Status Hmac::Final(uint8_t* out) {
   size_t len = 0;
-  if (ctx_ == nullptr ||
-      EVP_MAC_final(ctx_, out, &len, kSha256DigestSize) != 1 ||
+  if (EVP_MAC_final(ctx_, out, &len, kSha256DigestSize) != 1 ||
       len != kSha256DigestSize) {
     return Status::CryptoError("HMAC-SHA256 failed");
   }
@@ -137,6 +138,11 @@ Status Hmac::Final(uint8_t* out) {
 Hmac& ThreadHmac() {
   thread_local Hmac hmac;
   return hmac;
+}
+
+Status HmacInto(BytesView key, std::initializer_list<BytesView> parts,
+                uint8_t* out) {
+  return ThreadHmac().Mac(key, parts, out);
 }
 
 Status AesCtr(const uint8_t* key, const uint8_t* iv, BytesView in,

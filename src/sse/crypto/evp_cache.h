@@ -11,7 +11,11 @@
 #include <openssl/evp.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string_view>
 
 #include "sse/util/bytes.h"
 #include "sse/util/status.h"
@@ -22,6 +26,10 @@ struct MdCtxFree {
   void operator()(EVP_MD_CTX* ctx) const { EVP_MD_CTX_free(ctx); }
 };
 using MdCtx = std::unique_ptr<EVP_MD_CTX, MdCtxFree>;
+
+/// SHA-256, fetched on first use and kept for the process. Null if the
+/// provider has no such algorithm.
+const EVP_MD* FetchedSha256();
 
 /// A SHA-256 context that has absorbed `prefix`: copying it and hashing the
 /// rest computes SHA-256(prefix || rest) without re-absorbing the prefix.
@@ -36,8 +44,8 @@ Status DigestFrom(const EVP_MD_CTX* midstate, BytesView data, uint8_t* out);
 /// context.
 Status Digest(BytesView a, BytesView b, uint8_t* out);
 
-/// A reusable HMAC-SHA-256 context. SetKey computes a key schedule; Restart
-/// rewinds to it, so several messages under one key share one schedule.
+/// A reusable HMAC-SHA-256 context. Each Mac is one HMAC computation,
+/// timed as one call of the gated `sse_crypto_prf_seconds` histogram.
 class Hmac {
  public:
   Hmac();
@@ -45,19 +53,32 @@ class Hmac {
   Hmac(const Hmac&) = delete;
   Hmac& operator=(const Hmac&) = delete;
 
+  /// Computes `key`'s schedule for later keyless Mac calls.
   Status SetKey(BytesView key);
-  Status Restart();
-  Status Update(BytesView data);
-  /// Writes the 32-byte MAC to `out`; Restart() to reuse the key.
-  Status Final(uint8_t* out);
+  /// HMAC(key, parts[0] || parts[1] || ...) into `out` (32 bytes). With no
+  /// key, rewinds to the schedule of the last SetKey or keyed Mac, so
+  /// several messages under one key share one schedule. `out` may alias a
+  /// part.
+  Status Mac(std::optional<BytesView> key,
+             std::initializer_list<BytesView> parts, uint8_t* out);
 
  private:
   EVP_MAC_CTX* ctx_;
 };
 
-/// This thread's HMAC context for per-call keys. Callers must finish one
-/// MAC (SetKey .. Final) before anything else on the thread uses it.
+/// This thread's HMAC context for per-call keys. A keyless Mac on it is
+/// only meaningful right after the caller's own keyed Mac.
 Hmac& ThreadHmac();
+
+/// ThreadHmac().Mac(key, parts, out).
+Status HmacInto(BytesView key, std::initializer_list<BytesView> parts,
+                uint8_t* out);
+
+/// HKDF-SHA-256 into `out` (out.size() bytes, no allocation); an empty salt
+/// takes the zero salt's key schedule, cached per thread. Defined in
+/// hkdf.cc; the public HkdfSha256 wraps it.
+Status HkdfInto(BytesView ikm, BytesView salt, std::string_view info,
+                std::span<uint8_t> out);
 
 /// AES-256-CTR over `in` into `out` (same length) with this thread's cipher
 /// context; `key` is 32 bytes and `iv` 16.

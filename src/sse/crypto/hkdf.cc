@@ -13,7 +13,7 @@ namespace {
 constexpr size_t kHashLen = 32;
 
 // RFC 5869's default salt is HashLen zero bytes. This thread keys an HMAC
-// context with it once; each Extract rewinds to that key schedule.
+// context with it once; each Extract under it rewinds to that schedule.
 struct ZeroSaltHmac {
   evp::Hmac hmac;
   Status keyed = hmac.SetKey(std::array<uint8_t, kHashLen>{});
@@ -31,17 +31,16 @@ Status ExpandInto(BytesView prk, std::string_view info, std::span<uint8_t> out) 
   SSE_RETURN_IF_ERROR(CheckOutputLength(out.size()));
   // T(i) = HMAC(PRK, T(i-1) || info || i), all under one key schedule.
   evp::Hmac& hmac = evp::ThreadHmac();
-  SSE_RETURN_IF_ERROR(hmac.SetKey(prk));
   std::array<uint8_t, kHashLen> t;
   size_t done = 0;
   for (uint8_t counter = 1; done < out.size(); ++counter) {
-    if (counter > 1) {
-      SSE_RETURN_IF_ERROR(hmac.Restart());
-      SSE_RETURN_IF_ERROR(hmac.Update(t));
+    const BytesView index(&counter, 1);
+    if (counter == 1) {
+      SSE_RETURN_IF_ERROR(hmac.Mac(prk, {AsBytes(info), index}, t.data()));
+    } else {
+      SSE_RETURN_IF_ERROR(
+          hmac.Mac(std::nullopt, {t, AsBytes(info), index}, t.data()));
     }
-    SSE_RETURN_IF_ERROR(hmac.Update(AsBytes(info)));
-    SSE_RETURN_IF_ERROR(hmac.Update(BytesView(&counter, 1)));
-    SSE_RETURN_IF_ERROR(hmac.Final(t.data()));
     const size_t take = std::min(kHashLen, out.size() - done);
     std::memcpy(out.data() + done, t.data(), take);
     done += take;
@@ -51,29 +50,29 @@ Status ExpandInto(BytesView prk, std::string_view info, std::span<uint8_t> out) 
 
 }  // namespace
 
-Status HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
-                  std::span<uint8_t> out) {
+namespace evp {
+
+Status HkdfInto(BytesView ikm, BytesView salt, std::string_view info,
+                std::span<uint8_t> out) {
   // Extract: PRK = HMAC(salt, IKM).
   std::array<uint8_t, kHashLen> prk;
-  evp::Hmac* extract = &evp::ThreadHmac();
   if (salt.empty()) {
     thread_local ZeroSaltHmac zero_salt;
     SSE_RETURN_IF_ERROR(zero_salt.keyed);
-    extract = &zero_salt.hmac;
-    SSE_RETURN_IF_ERROR(extract->Restart());
+    SSE_RETURN_IF_ERROR(zero_salt.hmac.Mac(std::nullopt, {ikm}, prk.data()));
   } else {
-    SSE_RETURN_IF_ERROR(extract->SetKey(salt));
+    SSE_RETURN_IF_ERROR(HmacInto(salt, {ikm}, prk.data()));
   }
-  SSE_RETURN_IF_ERROR(extract->Update(ikm));
-  SSE_RETURN_IF_ERROR(extract->Final(prk.data()));
   return ExpandInto(prk, info, out);
 }
+
+}  // namespace evp
 
 Result<Bytes> HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
                          size_t out_len) {
   SSE_RETURN_IF_ERROR(CheckOutputLength(out_len));
   Bytes out(out_len);
-  SSE_RETURN_IF_ERROR(HkdfSha256(ikm, salt, info, std::span<uint8_t>(out)));
+  SSE_RETURN_IF_ERROR(evp::HkdfInto(ikm, salt, info, out));
   return out;
 }
 

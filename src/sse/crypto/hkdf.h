@@ -2,7 +2,6 @@
 #define SSE_CRYPTO_HKDF_H_
 
 #include <cstddef>
-#include <span>
 #include <string_view>
 
 #include "sse/util/bytes.h"
@@ -17,11 +16,6 @@ namespace sse::crypto {
 /// `info` provides domain separation; `out_len` up to 255*32 bytes.
 Result<Bytes> HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
                          size_t out_len);
-
-/// Same, writing `out.size()` bytes into `out` (no allocation). An empty
-/// salt takes the zero salt's key schedule, cached per thread.
-Status HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
-                  std::span<uint8_t> out);
 
 /// Expand-only step for already-uniform keys.
 Result<Bytes> HkdfExpand(BytesView prk, std::string_view info, size_t out_len);

@@ -3,7 +3,6 @@
 #include <initializer_list>
 
 #include "sse/crypto/evp_cache.h"
-#include "sse/obs/metrics_registry.h"
 
 namespace sse::crypto {
 
@@ -12,14 +11,8 @@ namespace {
 // HMAC(key, parts[0] || parts[1] || ...) through this thread's reused
 // context: no allocation besides the output, no per-call algorithm fetch.
 Result<Bytes> HmacParts(BytesView key, std::initializer_list<BytesView> parts) {
-  // One relaxed load when timing is off (the default) — the gate keeps
-  // per-op instrumentation out of the search hot path's budget.
-  obs::ScopedCryptoTimer timer(obs::CryptoTimers::Global().prf);
-  evp::Hmac& hmac = evp::ThreadHmac();
-  SSE_RETURN_IF_ERROR(hmac.SetKey(key));
-  for (BytesView part : parts) SSE_RETURN_IF_ERROR(hmac.Update(part));
   Bytes out(kPrfOutputSize);
-  SSE_RETURN_IF_ERROR(hmac.Final(out.data()));
+  SSE_RETURN_IF_ERROR(evp::HmacInto(key, parts, out.data()));
   return out;
 }
 

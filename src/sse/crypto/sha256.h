@@ -16,6 +16,26 @@ Result<Bytes> Sha256(BytesView data);
 /// SHA-256 over `a || b` without materializing the concatenation.
 Result<Bytes> Sha256Concat(BytesView a, BytesView b);
 
+/// Incremental SHA-256 hasher.
+class Sha256Hasher {
+ public:
+  Sha256Hasher();
+  ~Sha256Hasher();
+
+  Sha256Hasher(const Sha256Hasher&) = delete;
+  Sha256Hasher& operator=(const Sha256Hasher&) = delete;
+
+  Status Update(BytesView data);
+  /// Finalizes and returns the 32-byte digest. The hasher is reset and can
+  /// be reused afterwards.
+  Result<Bytes> Finish();
+
+ private:
+  void* ctx_;  // EVP_MD_CTX*, kept opaque to avoid leaking OpenSSL headers.
+  bool active_;
+  Status Init();
+};
+
 }  // namespace sse::crypto
 
 #endif  // SSE_CRYPTO_SHA256_H_

@@ -1,29 +1,16 @@
 #include "sse/crypto/stream_cipher.h"
 
 #include "sse/crypto/evp_cache.h"
-#include "sse/crypto/hkdf.h"
 
 namespace sse::crypto {
-
-namespace {
-
-// tag = HMAC(mac_key, iv || ct), into `out` (kStreamTagSize bytes).
-Status MacInto(BytesView mac_key, BytesView body, uint8_t* out) {
-  evp::Hmac& hmac = evp::ThreadHmac();
-  SSE_RETURN_IF_ERROR(hmac.SetKey(mac_key));
-  SSE_RETURN_IF_ERROR(hmac.Update(body));
-  return hmac.Final(out);
-}
-
-}  // namespace
 
 Result<StreamCipher> StreamCipher::Create(BytesView key) {
   if (key.size() < 16) {
     return Status::InvalidArgument("StreamCipher key must be >= 16 bytes");
   }
   StreamCipher cipher;
-  SSE_RETURN_IF_ERROR(HkdfSha256(key, /*salt=*/{}, "sse.stream_cipher.v1",
-                                 std::span<uint8_t>(cipher.subkeys_)));
+  SSE_RETURN_IF_ERROR(evp::HkdfInto(key, /*salt=*/{}, "sse.stream_cipher.v1",
+                                    cipher.subkeys_));
   return cipher;
 }
 
@@ -38,8 +25,9 @@ Result<Bytes> StreamCipher::Encrypt(BytesView plaintext,
   SSE_RETURN_IF_ERROR(evp::AesCtr(enc_key(), out.data(), plaintext,
                                   out.data() + kStreamIvSize));
   const size_t body_len = kStreamIvSize + plaintext.size();
-  SSE_RETURN_IF_ERROR(MacInto(mac_key(), BytesView(out).subspan(0, body_len),
-                              out.data() + body_len));
+  // tag = HMAC(mac_key, iv || ct).
+  SSE_RETURN_IF_ERROR(evp::HmacInto(
+      mac_key(), {BytesView(out).subspan(0, body_len)}, out.data() + body_len));
   return out;
 }
 
@@ -51,7 +39,7 @@ Result<Bytes> StreamCipher::Decrypt(BytesView ciphertext) const {
   BytesView body = ciphertext.subspan(0, body_len);
   BytesView tag = ciphertext.subspan(body_len);
   std::array<uint8_t, kStreamTagSize> expected;
-  SSE_RETURN_IF_ERROR(MacInto(mac_key(), body, expected.data()));
+  SSE_RETURN_IF_ERROR(evp::HmacInto(mac_key(), {body}, expected.data()));
   if (!ConstantTimeEqual(expected, tag)) {
     return Status::CryptoError("stream cipher MAC mismatch");
   }

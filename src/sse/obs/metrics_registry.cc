@@ -165,7 +165,8 @@ CryptoTimers& CryptoTimers::Global() {
     auto& reg = MetricsRegistry::Global();
     keep[0] = reg.RegisterHistogram(
         "sse_crypto_prf_seconds", [t] { return t->prf.Snap(); },
-        "Per-call PRF evaluation latency (gated, off by default)");
+        "Per-call HMAC-SHA-256 latency: PRF evaluations, HKDF blocks and "
+        "stream-cipher MACs (gated, off by default)");
     keep[1] = reg.RegisterHistogram(
         "sse_crypto_prg_seconds", [t] { return t->prg.Snap(); },
         "Per-call PRG expansion latency (gated, off by default)");

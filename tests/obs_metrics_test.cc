@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sse/crypto/prf.h"
+#include "sse/crypto/stream_cipher.h"
 #include "sse/obs/histogram.h"
 #include "test_util.h"
 
@@ -179,6 +180,26 @@ TEST(CryptoTimersTest, GateControlsRecording) {
   EXPECT_NE(MetricsRegistry::Global().RenderPrometheus().find(
                 "sse_crypto_prf_seconds_count"),
             std::string::npos);
+}
+
+TEST(CryptoTimersTest, PrfSeriesCountsEveryHmac) {
+  // One sample per HMAC-SHA-256: StreamCipher::Create runs HKDF-Extract
+  // plus two Expand blocks, and Encrypt/Decrypt one MAC each.
+  auto count = [] { return obs::CryptoTimers::Global().prf.Snap().count; };
+  DeterministicRandom rng(7);
+  obs::SetCryptoTimingEnabled(true);
+  const uint64_t start = count();
+  auto cipher = crypto::StreamCipher::Create(Bytes(32, 0x42));
+  const uint64_t after_create = count();
+  auto ct = cipher.value().Encrypt(StringToBytes("segment"), rng);
+  const uint64_t after_encrypt = count();
+  auto pt = cipher.value().Decrypt(ct.value());
+  const uint64_t after_decrypt = count();
+  obs::SetCryptoTimingEnabled(false);
+  ASSERT_TRUE(pt.ok());
+  EXPECT_EQ(after_create - start, 3u);
+  EXPECT_EQ(after_encrypt - after_create, 1u);
+  EXPECT_EQ(after_decrypt - after_encrypt, 1u);
 }
 
 }  // namespace

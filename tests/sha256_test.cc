@@ -27,6 +27,32 @@ TEST(Sha256Test, ConcatMatchesDirect) {
   EXPECT_EQ(*direct, *concat);
 }
 
+TEST(Sha256Test, IncrementalMatchesOneShot) {
+  Bytes data = StringToBytes("a longer message split into several updates");
+  Sha256Hasher hasher;
+  for (size_t i = 0; i < data.size(); i += 7) {
+    const size_t n = std::min<size_t>(7, data.size() - i);
+    ASSERT_TRUE(hasher.Update(BytesView(data.data() + i, n)).ok());
+  }
+  auto incremental = hasher.Finish();
+  auto one_shot = Sha256(data);
+  ASSERT_TRUE(incremental.ok());
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(*incremental, *one_shot);
+}
+
+TEST(Sha256Test, HasherReusableAfterFinish) {
+  Sha256Hasher hasher;
+  ASSERT_TRUE(hasher.Update(StringToBytes("first")).ok());
+  auto first = hasher.Finish();
+  ASSERT_TRUE(hasher.Update(StringToBytes("second")).ok());
+  auto second = hasher.Finish();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(*first, *second);
+  EXPECT_EQ(*second, *Sha256(StringToBytes("second")));
+}
+
 TEST(Sha256Test, AvalancheOnOneBit) {
   Bytes a(32, 0);
   Bytes b(32, 0);
